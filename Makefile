@@ -12,7 +12,7 @@ GOVULNCHECK_VERSION  ?= v1.1.4
 STATICCHECK          := $(TOOLS_BIN)/staticcheck
 GOVULNCHECK          := $(TOOLS_BIN)/govulncheck
 
-.PHONY: build test vet race check staticcheck govulncheck scanlint lint-fix-list bench bench-obsv bench-alloc alloc-gate chaos perf perf-baseline docs-check
+.PHONY: build test vet race check bench-build staticcheck govulncheck scanlint lint-fix-list bench bench-obsv bench-alloc alloc-gate chaos perf perf-baseline docs-check
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,13 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark (scanbench/) is a nested module, so the root `go build ./...`
+# stops at its boundary; build and vet it on its own so an API change it
+# depends on fails here rather than at benchmark time. -o /dev/null keeps
+# the binary out of the tree.
+bench-build:
+	cd scanbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 
 race:
 	$(GO) test -race ./...
@@ -70,14 +77,15 @@ alloc-gate:
 
 # The fault-containment suite under the race detector: seeded chaos runs
 # across every engine, the server panic/stall acceptance scenarios, the
-# watchdog tests, and the shard-tier drills — seeded fault schedules
+# watchdog tests (dist-scan's per-round deadline among them), the
+# sim-block panic mapping, and the shard-tier drills — seeded fault schedules
 # against a worker fleet plus real scanshard processes killed and
 # restarted mid-superstep (see OPERATIONS.md "Failure modes" and §14).
 # Already part of `make race`; this target iterates on just the
 # containment paths. Set SHARD_CHAOS_LOG_DIR to keep the worker
 # processes' logs on disk (CI uploads them as artifacts on failure).
 chaos:
-	$(GO) test -race -count 1 -run 'TestChaos|TestWatchdog|TestDistscanSuperstepRetry|TestDistscanRetryExhaustion|TestAcceptance|TestServerChaos|TestServerWatchdog|TestHandlerPanic|TestShardChaos' \
+	$(GO) test -race -count 1 -run 'TestChaos|TestWatchdog|TestDistscanSuperstepRetry|TestDistscanRetryExhaustion|TestAcceptance|TestServerChaos|TestServerWatchdog|TestHandlerPanic|TestShardChaos|TestDistStallTimeout|TestSimBlockPanicIsInternalError' \
 		./internal/engine/ ./internal/server/ ./internal/shard/
 
 # The performance gate (cmd/perfbench + internal/perfgate): measure the
@@ -114,7 +122,7 @@ docs-check:
 # are all exercised concurrently), the chaos/fault-containment suite, the
 # non-race allocation gate, then the performance gate against the local
 # trajectory.
-check: vet scanlint staticcheck govulncheck docs-check
+check: vet bench-build scanlint staticcheck govulncheck docs-check
 	$(GO) test -race ./...
 	$(MAKE) chaos
 	$(MAKE) alloc-gate

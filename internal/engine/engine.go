@@ -55,8 +55,9 @@ type Options struct {
 	// Tracer, when non-nil, records per-phase and per-task spans.
 	Tracer *obsv.Tracer
 	// StallTimeout arms the phase watchdog on engines that support it
-	// (currently the ppscan and dist-scan families): a phase or superstep
-	// making no scheduler progress for this long is aborted with a
+	// (currently the ppscan and dist-scan families): a ppscan phase making
+	// no scheduler progress for this long, or a dist-scan round that
+	// misses this deadline on every attempt, is aborted with a
 	// result.PartialError wrapping result.ErrStalled. Zero disables the
 	// watchdog (the default: no extra goroutine, no extra allocation).
 	StallTimeout time.Duration

@@ -15,11 +15,11 @@ import (
 	// Link every backend so the registry is fully populated.
 	_ "ppscan/internal/anyscan"
 	_ "ppscan/internal/core"
-	_ "ppscan/internal/distscan"
 	_ "ppscan/internal/pscan"
 	_ "ppscan/internal/scan"
 	_ "ppscan/internal/scanpp"
 	_ "ppscan/internal/scanxp"
+	_ "ppscan/internal/shard"
 )
 
 // TestRegistryNames: all shipped backends register under their canonical

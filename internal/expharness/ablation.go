@@ -1,15 +1,17 @@
 package expharness
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"ppscan/internal/core"
 	"ppscan/internal/dataset"
-	"ppscan/internal/distscan"
+	"ppscan/internal/engine"
 	"ppscan/internal/intersect"
 	"ppscan/internal/pscan"
 	"ppscan/internal/result"
+	_ "ppscan/internal/shard" // registers the dist-scan engine
 )
 
 // AblationPoint is one measured variant of one design choice.
@@ -93,10 +95,17 @@ func Ablations(cfg Config) []AblationPoint {
 
 		// Distributed partitioning: the §3.3 communication overhead, made
 		// measurable (bytes crossing partitions grow with the cut).
+		dist, _ := engine.Get("dist-scan")
 		for _, parts := range []int{1, 2, 4, 8} {
 			parts := parts
 			add("dist-partitions", fmt.Sprintf("p=%d", parts), ds, cfg.bestOf(func() *result.Result {
-				return distscan.Run(g, th, distscan.Options{Partitions: parts, Kernel: intersect.MergeEarly})
+				r, err := dist.RunContext(context.Background(), g, th,
+					engine.Options{Workers: parts, Kernel: intersect.MergeEarly.String()}, nil)
+				if err != nil {
+					// No fault injection and no deadline: a failure is a bug.
+					panic(fmt.Sprintf("expharness: dist-scan failed: %v", err))
+				}
+				return r
 			}))
 		}
 	}

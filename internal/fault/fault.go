@@ -1,7 +1,7 @@
 // Package fault is a deterministic, seed-driven fault-injection registry
 // for the serving stack. Injection points are named constants threaded
-// through the hot path (scheduler task execution, distscan supersteps,
-// graph loading); a Plan — either hand-built or derived from a seed —
+// through the hot path (scheduler task execution, shard rounds, graph
+// loading); a Plan — either hand-built or derived from a seed —
 // decides, purely from per-point hit counters, when a point fires and
 // what it does (panic, straggler delay, or transient error).
 //
@@ -29,13 +29,15 @@ type Point uint8
 
 const (
 	// WorkerTask fires once per scheduler task execution (sched.Crew and
-	// sched.Pool workers, static blocks, distscan partitions). Panic and
-	// error actions both surface as a contained worker panic — workers
-	// have no error channel — and delay actions model stragglers.
+	// sched.Pool workers, static blocks) and once per similarity block of
+	// a shard worker's sim round. Panic and error actions both surface as
+	// a contained worker panic — workers have no error channel — and delay
+	// actions model stragglers.
 	WorkerTask Point = iota
-	// SuperstepStart fires at the start of each distscan superstep
-	// attempt. Error actions are transient and retried with backoff;
-	// panic actions test the containment path.
+	// SuperstepStart fires once per round attempt the shard coordinator
+	// makes against one shard (both transports). Error actions are
+	// transient and retried with backoff; panic actions test the
+	// containment path.
 	SuperstepStart
 	// GraphLoad fires once per binary-graph load, modelling corrupt or
 	// partially-written input files.
@@ -316,8 +318,8 @@ func IsTransient(err error) bool {
 	return errors.As(err, &t) && t.Transient()
 }
 
-// NoteRetry counts one retry of a transient fault (recorded by the
-// distscan superstep retry loop; surfaces as the fault.retries metric).
+// NoteRetry counts one retry of a transient fault (recorded by the shard
+// coordinator's round retry loop; surfaces as the fault.retries metric).
 func NoteRetry() { retries.Add(1) }
 
 // Stats is a snapshot of the process-lifetime injection counters.

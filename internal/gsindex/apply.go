@@ -78,6 +78,15 @@ type applyWorker struct {
 	// of the new snapshot): set on every slot whose count a delta or
 	// insertion changed.
 	cnDirty []uint64
+	// recs: the count changes this worker's mutation walks recorded.
+	recs []slotAdd
+}
+
+// slotAdd is one count change the pass-1 walks record: val is added to the
+// count in slot, which lies in owner's run.
+type slotAdd struct {
+	owner, val int32
+	slot       int64
 }
 
 // less orders the current run's entries a, b: higher similarity first,
@@ -104,7 +113,7 @@ func (w *applyWorker) less(a, b int32) bool {
 // workspace: shared pair lists plus per-worker repair buffers.
 type applyScratch struct {
 	// degChanged is a bitset: bit u reports d_new(u) != d_old(u). A bitset
-	// keeps the random per-neighbor probes of pass 3 L1-resident. Kept
+	// keeps the random per-neighbor probes of pass 2 L1-resident. Kept
 	// cleared between applies (only d.Touched bits are ever set, and reset
 	// after use).
 	degChanged []uint64
@@ -120,12 +129,16 @@ type applyScratch struct {
 	// a run's dirty entries as one contiguous word extraction. Kept
 	// cleared between applies via dirtySlots.
 	cnDirty []uint64
+	// recs holds every worker's count changes bucketed by owning vertex;
+	// recOff (len n+1) are the bucket starts.
+	recs   []slotAdd
+	recOff []int32
 	// dirtySlots records every slot whose cnDirty bit was set, so the
 	// bitset is cleared in O(|dirty|) instead of O(|E|).
 	dirtySlots []int64
-	// touchedB/affectedB: per-vertex bitsets (adjacency changed / order
-	// needs repair), cleared wholesale each apply — n/8 bytes.
-	touchedB, affectedB []uint64
+	// touchedB: per-vertex bitset (adjacency changed), cleared wholesale
+	// each apply — n/8 bytes.
+	touchedB []uint64
 	// deg1[v] = d_new(v)+1, filled once per apply so comparator key fills
 	// are single table loads instead of two CSR offset loads each (uint32:
 	// half the cache footprint, and d+1 always fits).
@@ -269,9 +282,10 @@ func dirtyBits(cd []uint64, base int64, deg int) uint64 {
 	return word & (uint64(1)<<uint(deg) - 1)
 }
 
-// repairRun fixes the order run of an untouched-but-affected vertex u:
-// its neighbor list is unchanged, but stale entries (neighbor degree
-// changed or pair recomputed) may have moved. See the package comment
+// repairRun fixes the order run of an untouched vertex u: its neighbor
+// list is unchanged, but stale entries (neighbor degree changed or pair
+// count changed) may have moved; a run without any returns after one
+// scan. See the package comment
 // for the fast path / extraction-merge split. Runs up to 64 wide keep
 // stale membership in a register and fetch degree keys lazily — a run
 // that passes the sortedness check only loads the degrees probed at
@@ -415,22 +429,25 @@ func (ix *Index) repairRunBig(u int32, degChanged []uint64, w *applyWorker) {
 	w.bigRepair(ord)
 }
 
-// repairTouchedRun rebuilds the order run of a touched vertex from the
-// old run's order: surviving neighbors with unchanged keys keep their
-// exact relative order (the d(u) factor cancels in every within-run
-// comparison). For runs up to 64 wide, the survivors are laid down in
+// repairTouchedRun lays down the run of a touched vertex and rebuilds
+// its order from the old run's order. The merge that aligns old and new
+// neighbors also copies the surviving counts (inserted slots start from
+// zero); recs, the run's recorded count changes, are added on top.
+// Surviving neighbors with unchanged keys keep their exact relative
+// order (the d(u) factor cancels in every within-run comparison). For
+// runs up to 64 wide, the survivors are laid down in
 // their old order, inserted neighbors are appended behind them as stale
 // entries, and one insertRepair pass sorts the result. Wider runs take
 // the extraction-merge path.
 //
 //lint:snapfreeze pre-publication: nix is the unpublished next-epoch index until ApplyBatch returns it
-func (nix *Index) repairTouchedRun(u int32, old *Index, degChanged []uint64, w *applyWorker) {
+func (nix *Index) repairTouchedRun(u int32, old *Index, degChanged []uint64, recs []slotAdd, w *applyWorker) {
 	oldG, newG := old.g, nix.g
 	oldNbrs, newNbrs := oldG.Neighbors(u), newG.Neighbors(u)
 	oo, no := oldG.Off[u], newG.Off[u]
 	deg := len(newNbrs)
 	if deg > 64 {
-		nix.repairTouchedRunBig(u, old, degChanged, w)
+		nix.repairTouchedRunBig(u, old, degChanged, recs, w)
 		return
 	}
 	// omap: old-local → new-local (-1 = removed); inserted new-locals
@@ -448,11 +465,13 @@ func (nix *Index) repairTouchedRun(u int32, old *Index, degChanged []uint64, w *
 			j++
 		default:
 			omap = append(omap, int32(j))
+			nix.cn[no+int64(j)] = old.cn[oo+int64(i)]
 			i++
 			j++
 		}
 	}
 	w.omap = omap
+	addCounts(nix.cn, recs)
 	staleMask = dirtyBits(w.cnDirty, no, deg)
 	for jj, v := range newNbrs {
 		staleMask |= degChanged[v>>6] >> (uint(v) & 63) & 1 << uint(jj)
@@ -485,7 +504,7 @@ func (nix *Index) repairTouchedRun(u int32, old *Index, degChanged []uint64, w *
 // membership in 0/1 bytes and eager key fill, finished by bigRepair.
 //
 //lint:snapfreeze pre-publication: nix is the unpublished next-epoch index until ApplyBatch returns it
-func (nix *Index) repairTouchedRunBig(u int32, old *Index, degChanged []uint64, w *applyWorker) {
+func (nix *Index) repairTouchedRunBig(u int32, old *Index, degChanged []uint64, recs []slotAdd, w *applyWorker) {
 	oldG, newG := old.g, nix.g
 	oldNbrs, newNbrs := oldG.Neighbors(u), newG.Neighbors(u)
 	oo, no := oldG.Off[u], newG.Off[u]
@@ -511,11 +530,13 @@ func (nix *Index) repairTouchedRunBig(u int32, old *Index, degChanged []uint64, 
 			j++
 		default:
 			omap = append(omap, int32(j))
+			nix.cn[no+int64(j)] = old.cn[oo+int64(i)]
 			i++
 			j++
 		}
 	}
 	w.redo, w.omap = redo, omap
+	addCounts(nix.cn, recs)
 	ord := nix.order[no : no+int64(deg)]
 	k := 0
 	for _, oi := range old.order[oo : oo+int64(len(oldNbrs))] {
@@ -533,6 +554,82 @@ func (nix *Index) repairTouchedRunBig(u int32, old *Index, degChanged []uint64, 
 	w.bigRepair(ord)
 }
 
+// layoutSegments lays out both orientations of edges as per-source
+// segments, packed u<<32|v and ascending: off (len n+1) receives the
+// segment starts and the returned list (list's storage, grown) the
+// entries. It is a counting sort: edges follow the Delta contract (U < V,
+// sorted), so scattering every (V, U) orientation before every (U, V)
+// one leaves each segment ascending with no comparison sort. A list that
+// is not sorted anyway (a breached contract) falls back to slices.Sort;
+// the segment starts hold either way.
+func layoutSegments(off []int32, list []uint64, edges []graph.Edge) []uint64 {
+	clear(off)
+	if len(edges) == 0 {
+		return list[:0]
+	}
+	for _, e := range edges {
+		off[e.U+1]++
+		off[e.V+1]++
+	}
+	for u := 1; u < len(off); u++ {
+		off[u] += off[u-1]
+	}
+	list = grow(list, 2*len(edges))
+	// off[u] is u's scatter cursor; afterwards it holds u's segment end,
+	// which the shift turns back into segment starts.
+	for _, e := range edges {
+		list[off[e.V]] = uint64(uint32(e.V))<<32 | uint64(uint32(e.U))
+		off[e.V]++
+	}
+	for _, e := range edges {
+		list[off[e.U]] = uint64(uint32(e.U))<<32 | uint64(uint32(e.V))
+		off[e.U]++
+	}
+	copy(off[1:], off)
+	off[0] = 0
+	if !slices.IsSorted(list) {
+		slices.Sort(list)
+	}
+	return list
+}
+
+// addCounts adds a run's recorded count changes onto its laid-down
+// counts.
+func addCounts(cn []int32, recs []slotAdd) {
+	for _, r := range recs {
+		cn[r.slot] += r.val
+	}
+}
+
+// bucketByOwner gathers the workers' recorded count changes into list
+// (its storage, grown), grouped by owning vertex in a counting sort: off
+// (len n+1) receives each owner's bucket start.
+func bucketByOwner(off []int32, list []slotAdd, workers []*applyWorker) []slotAdd {
+	clear(off)
+	total := 0
+	for _, w := range workers {
+		for _, r := range w.recs {
+			off[r.owner+1]++
+		}
+		total += len(w.recs)
+	}
+	for u := 1; u < len(off); u++ {
+		off[u] += off[u-1]
+	}
+	list = grow(list, total)
+	// off[u] is u's scatter cursor; afterwards it holds u's bucket end,
+	// which the shift turns back into bucket starts.
+	for _, w := range workers {
+		for _, r := range w.recs {
+			list[off[r.owner]] = r
+			off[r.owner]++
+		}
+	}
+	copy(off[1:], off)
+	off[0] = 0
+	return list
+}
+
 // ApplyBatch derives the index for d.New from the index over d.Old,
 // recomputing only what the commit can have changed. The receiver must be
 // the index of d.Old (pointer identity); the receiver itself is not
@@ -546,12 +643,13 @@ func (nix *Index) repairTouchedRunBig(u int32, old *Index, degChanged []uint64, 
 // batches, exactly like BuildContext; a cancelled apply returns
 // (nil, ctx.Err()) with no partial index.
 //
-// Cost: O(|spans| + Σ_{(a,b) ∈ batch} (d(a)+d(b)) + |added|·d̄ +
-// Σ_{u ∈ affected} d(u)) against Build's O(Σ_u d(u)·d̄ +
-// Σ_u d(u) log d(u)) — surviving counts are maintained by ±1 deltas,
-// so only batch-inserted pairs pay an intersection, and order repair
-// is a near-sorted insertion pass per affected run. That is the ≥10×
-// win on small-churn batches the acceptance gate pins.
+// Cost: O(n + |E|) sequential copying and scanning, plus
+// O(Σ_{(a,b) ∈ batch} (d(a)+d(b))) for the delta walks, plus a
+// near-sorted insertion pass per run holding stale entries — against
+// Build's O(Σ_u d(u)·d̄ + Σ_u d(u) log d(u)). No intersection is
+// recomputed: surviving counts move by ±1 deltas and an inserted pair's
+// count is its walk's tally. That is the ≥10× win on small-churn
+// batches the acceptance gate pins.
 //
 //lint:snapfreeze pre-publication: every write lands in nix, which no reader can see until this returns
 func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOptions, ws *engine.Workspace) (*Index, error) {
@@ -621,14 +719,11 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 		sc.dirtySlots = dirtySlots[:0]
 	}()
 
-	// Bitmaps: touched (adjacency changed) and affected (order needs
-	// repair — see pass 3). Bitsets clear in n/8 bytes per apply, where
-	// bool arrays would memclr 8× that.
+	// touched (adjacency changed) is a bitset: it clears in n/8 bytes per
+	// apply, where a bool array would memclr 8× that.
 	sc.touchedB = grow(sc.touchedB, int(n>>6)+1)
-	sc.affectedB = grow(sc.affectedB, int(n>>6)+1)
-	touched, affected := sc.touchedB, sc.affectedB
+	touched := sc.touchedB
 	clear(touched)
-	clear(affected)
 	//lint:ctxok plain O(|touched|) bitmap marking before the pass-0 checkpoint
 	for _, u := range d.Touched {
 		touched[u>>6] |= 1 << (uint(u) & 63)
@@ -639,88 +734,19 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 
 	// Pass 0: lay out the batch's directed mutation segments — both
 	// orientations of inserted and removed edges, sorted — which the
-	// delta walks of pass 2 consult per vertex.
-	addList := sc.addList[:0]
-	//lint:ctxok plain O(|batch|) segment layout before the pass-0 checkpoint
-	for _, e := range d.Added {
-		addList = append(addList,
-			uint64(uint32(e.U))<<32|uint64(uint32(e.V)),
-			uint64(uint32(e.V))<<32|uint64(uint32(e.U)))
-	}
-	slices.Sort(addList)
-	remList := sc.remList[:0]
-	//lint:ctxok plain O(|batch|) segment layout before the pass-0 checkpoint
-	for _, e := range d.Removed {
-		remList = append(remList,
-			uint64(uint32(e.U))<<32|uint64(uint32(e.V)),
-			uint64(uint32(e.V))<<32|uint64(uint32(e.U)))
-	}
-	slices.Sort(remList)
+	// delta walks of pass 1 consult per vertex.
 	sc.addOff = grow(sc.addOff, int(n)+1)
 	sc.remOff = grow(sc.remOff, int(n)+1)
-	segOffsets := func(off []int32, list []uint64) {
-		k := 0
-		for u := int32(0); u <= n; u++ {
-			for k < len(list) && int32(list[k]>>32) < u {
-				k++
-			}
-			off[u] = int32(k)
-		}
-	}
-	segOffsets(sc.addOff, addList)
-	segOffsets(sc.remOff, remList)
+	sc.addList = layoutSegments(sc.addOff, sc.addList, d.Added)
+	sc.remList = layoutSegments(sc.remOff, sc.remList, d.Removed)
+	addList, remList := sc.addList, sc.remList
 	addSeg := func(u int32) []uint64 { return addList[sc.addOff[u]:sc.addOff[u+1]] }
 	remSeg := func(u int32) []uint64 { return remList[sc.remOff[u]:sc.remOff[u+1]] }
-	sc.addList, sc.remList = addList, remList
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	// Pass 1: copy every surviving intersection count and the order runs
-	// of untouched vertices. Untouched spans between consecutive touched
-	// vertices are identical in both snapshots (only at shifted offsets);
-	// touched runs align their surviving neighbors by one merge walk.
-	// Order entries are run-relative, so they survive the offset shift
-	// unchanged.
-	var next int
-	for u := int32(0); u < n; {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if next < len(d.Touched) && d.Touched[next] == u {
-			next++
-			u++
-			continue
-		}
-		stop := n
-		if next < len(d.Touched) {
-			stop = d.Touched[next]
-		}
-		copy(nix.cn[newG.Off[u]:newG.Off[stop]], ix.cn[oldG.Off[u]:oldG.Off[stop]])
-		copy(nix.order[newG.Off[u]:newG.Off[stop]], ix.order[oldG.Off[u]:oldG.Off[stop]])
-		u = stop
-	}
-	//lint:ctxok O(Σ touched d(u)) survivor alignment between the pass-0 and pass-2 checkpoints
-	for _, u := range d.Touched {
-		oldNbrs, newNbrs := oldG.Neighbors(u), newG.Neighbors(u)
-		oo, no := oldG.Off[u], newG.Off[u]
-		i, j := 0, 0
-		//lint:ctxok inner merge over one touched run, bounded by its degree
-		for i < len(oldNbrs) && j < len(newNbrs) {
-			switch {
-			case oldNbrs[i] == newNbrs[j]:
-				nix.cn[no+int64(j)] = ix.cn[oo+int64(i)]
-				i++
-				j++
-			case oldNbrs[i] < newNbrs[j]:
-				i++ // removed: slot dropped
-			default:
-				j++ // inserted: dirty by construction, recomputed in pass 2
-			}
-		}
-	}
-
-	// Pass 2: maintain the counts. Every changed count of a surviving
+	// Pass 1: maintain the counts. Every changed count of a surviving
 	// pair is an exact ±1 per mutation: inserting (a, b) walks
 	// v ∈ Γnew(a) ∩ Γnew(b) (b joined those common neighborhoods),
 	// deleting (a, b) walks v ∈ Γnew(a) ∩ Γold(b) (b left them), each
@@ -730,32 +756,25 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 	// inserted pair's count is the walk's common-neighbor tally and no
 	// intersection is ever recomputed. A w whose edges to both endpoints
 	// were mutated is counted from the smaller endpoint only. Deltas land
-	// on both directed slots, which are marked dirty and their owners
-	// marked affected.
-	applyDelta := func(a, v int32, slotU int64, delta int32) {
-		slotV := newG.EdgeOffset(v, a)
-		nix.cn[slotU] += delta
-		nix.cn[slotV] += delta
-		cnDirty[slotU>>6] |= 1 << (uint64(slotU) & 63)
-		cnDirty[slotV>>6] |= 1 << (uint64(slotV) & 63)
-		dirtySlots = append(dirtySlots, slotU, slotV)
-		affected[a>>6] |= 1 << (uint(a) & 63)
-		affected[v>>6] |= 1 << (uint(v) & 63)
+	// on both directed slots, which are marked dirty.
+	//
+	// The walks run in parallel, one mutation at a time per worker, and
+	// only read the graphs: each worker records its count changes per
+	// slot, and pass 2 adds them onto the copied counts run by run (sums
+	// commute, so the result is independent of the schedule).
+	record := func(w *applyWorker, a, v int32, slotA int64, delta int32) {
+		w.recs = append(w.recs,
+			slotAdd{owner: a, val: delta, slot: slotA},
+			slotAdd{owner: v, val: delta, slot: newG.EdgeOffset(v, a)})
 	}
-	//lint:ctxok plain O(|batch|) slot marking between the pass-0 and pass-2 checkpoints
-	for _, e := range d.Added {
-		su, sv := newG.EdgeOffset(e.U, e.V), newG.EdgeOffset(e.V, e.U)
-		cnDirty[su>>6] |= 1 << (uint64(su) & 63)
-		cnDirty[sv>>6] |= 1 << (uint64(sv) & 63)
-		dirtySlots = append(dirtySlots, su, sv)
-		affected[e.U>>6] |= 1 << (uint(e.U) & 63)
-		affected[e.V>>6] |= 1 << (uint(e.V) & 63)
-	}
-	addedSlots := dirtySlots[:2*len(d.Added)]
-	contribAdd := func(a, b int32) int32 {
+	// contribAdd walks Γnew(a) ∩ Γnew(b) once for both orientations of
+	// the inserted edge (a, b): a common v at position i of a's run and j
+	// of b's run is a delta for (a, v) and for (b, v), each side subject
+	// to its own guards.
+	contribAdd := func(w *applyWorker, a, b int32) int32 {
 		an, bn := newG.Neighbors(a), newG.Neighbors(b)
 		adA, adB := addSeg(a), addSeg(b)
-		base := newG.Off[a]
+		baseA, baseB := newG.Off[a], newG.Off[b]
 		common := int32(0)
 		i, j, pa, pb := 0, 0, 0, 0
 		for i < len(an) && j < len(bn) {
@@ -768,27 +787,30 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 				j++
 				continue
 			}
-			v, idx := va, i
+			v, ia, jb := va, i, j
 			i++
 			j++
 			common++
 			for pa < len(adA) && int32(uint32(adA[pa])) < v {
 				pa++
 			}
-			if pa < len(adA) && int32(uint32(adA[pa])) == v {
-				continue // (a, v) itself inserted: recomputed in full
-			}
 			for pb < len(adB) && int32(uint32(adB[pb])) < v {
 				pb++
 			}
-			if pb < len(adB) && int32(uint32(adB[pb])) == v && a > v {
-				continue // (v, b) also inserted: (v, b)'s walk counts this w
+			insA := pa < len(adA) && int32(uint32(adA[pa])) == v
+			insB := pb < len(adB) && int32(uint32(adB[pb])) == v
+			// (a, v) itself inserted: recomputed in full. (v, b) also
+			// inserted: the smaller endpoint's walk counts this w.
+			if !insA && !(insB && a > v) {
+				record(w, a, v, baseA+int64(ia), 1)
 			}
-			applyDelta(a, v, base+int64(idx), 1)
+			if !insB && !(insA && b > v) {
+				record(w, b, v, baseB+int64(jb), 1)
+			}
 		}
 		return common
 	}
-	contribDel := func(a, b int32) {
+	contribDel := func(w *applyWorker, a, b int32) {
 		an, bo := newG.Neighbors(a), oldG.Neighbors(b)
 		adA, rmB := addSeg(a), remSeg(b)
 		base := newG.Off[a]
@@ -818,51 +840,75 @@ func (ix *Index) ApplyBatch(ctx context.Context, d *graph.Delta, opt BuildOption
 			if pb < len(rmB) && int32(uint32(rmB[pb])) == v && a > v {
 				continue // (v, b) also removed: (v, b)'s walk counts this w
 			}
-			applyDelta(a, v, base+int64(idx), -1)
+			record(w, a, v, base+int64(idx), -1)
 		}
 	}
-	//lint:ctxok per-mutation delta walks bounded by endpoint degrees, before the pass-2 checkpoint
-	for k, e := range d.Added {
-		c := contribAdd(e.U, e.V) + 2
-		contribAdd(e.V, e.U)
-		nix.cn[addedSlots[2*k]] = c
-		nix.cn[addedSlots[2*k+1]] = c
+	// An inserted pair's slots are never a delta target (the walks skip
+	// inserted pairs) and start from zero, so its whole count is recorded
+	// as their one change.
+	nAdd := len(d.Added)
+	//lint:ctxok bounded by Workers
+	for _, w := range sc.w {
+		w.recs = w.recs[:0]
 	}
-	//lint:ctxok per-mutation delta walks bounded by endpoint degrees, before the pass-2 checkpoint
-	for _, e := range d.Removed {
-		contribDel(e.U, e.V)
-		contribDel(e.V, e.U)
+	// The static scheduler splits the mutation indexes (added edges, then
+	// removed ones) into one block per worker.
+	err := sched.ForEachVertexStatic(opt.Workers, int32(nAdd+len(d.Removed)), func(m int32, worker int) {
+		w := sc.w[worker]
+		if int(m) < nAdd {
+			e := d.Added[m]
+			c := contribAdd(w, e.U, e.V) + 2
+			w.recs = append(w.recs,
+				slotAdd{owner: e.U, val: c, slot: newG.EdgeOffset(e.U, e.V)},
+				slotAdd{owner: e.V, val: c, slot: newG.EdgeOffset(e.V, e.U)})
+			return
+		}
+		e := d.Removed[int(m)-nAdd]
+		contribDel(w, e.U, e.V)
+		contribDel(w, e.V, e.U)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("gsindex: apply aborted during count pass after %v: %w", time.Since(start), err)
+	}
+	sc.recOff = grow(sc.recOff, int(n)+1)
+	sc.recs = bucketByOwner(sc.recOff, sc.recs, sc.w)
+	recs, recOff := sc.recs, sc.recOff
+	//lint:ctxok plain O(|records|) dirty marking between the pass-1 walks and the pass-1 checkpoint
+	for _, r := range recs {
+		cnDirty[r.slot>>6] |= 1 << (uint64(r.slot) & 63)
+		dirtySlots = append(dirtySlots, r.slot)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	// Pass 3: repair neighbor orders. A run needs repair only if its
-	// membership changed (touched), a neighbor's degree changed, or it
-	// owns a changed count (marked affected by pass 2) — entries outside
-	// those classes keep their exact relative order because the d(u)
-	// factor cancels within a run.
-	//lint:ctxok O(|touched|·d̄) affected marking between the pass-2 checkpoint and the ctx-aware repair pass
-	for _, u := range d.Touched {
-		affected[u>>6] |= 1 << (uint(u) & 63)
-		if degChanged[u>>6]>>(uint(u)&63)&1 == 0 {
-			continue
-		}
-		//lint:ctxok bounded by one vertex's degree
-		for _, v := range newG.Neighbors(u) {
-			affected[v>>6] |= 1 << (uint(v) & 63)
-		}
-	}
+	// Pass 2: lay down each run and repair its neighbor order. An
+	// untouched vertex's run is identical in both snapshots (only at a
+	// shifted offset) and is copied — order entries are run-relative, so
+	// they survive the shift unchanged — then the run's recorded count
+	// changes are added and its order repaired while it is cache-hot
+	// (repairTouchedRun does the same for a touched run). A run needs
+	// repair only if its membership changed (touched), a neighbor's
+	// degree changed, or it owns a changed count (a dirty slot) —
+	// entries outside those classes keep their exact relative order
+	// because the d(u) factor cancels within a run; repairRun returns at
+	// once when it finds none.
 	schedOpt := sched.Options{Workers: opt.Workers, DegreeThreshold: opt.DegreeThreshold}
-	err := sched.ForEachVertexCtx(ctx, schedOpt, n,
-		func(u int32) bool { return affected[u>>6]>>(uint(u)&63)&1 != 0 },
+	err = sched.ForEachVertexCtx(ctx, schedOpt, n,
+		func(int32) bool { return true },
 		newG.Degree,
 		func(u int32, worker int) {
 			w := sc.w[worker]
+			ur := recs[recOff[u]:recOff[u+1]]
 			if touched[u>>6]>>(uint(u)&63)&1 != 0 {
-				nix.repairTouchedRun(u, ix, degChanged, w)
+				nix.repairTouchedRun(u, ix, degChanged, ur, w)
 				return
 			}
+			oo, no := oldG.Off[u], newG.Off[u]
+			deg := newG.Off[u+1] - no
+			copy(nix.cn[no:no+deg], ix.cn[oo:oo+deg])
+			copy(nix.order[no:no+deg], ix.order[oo:oo+deg])
+			addCounts(nix.cn, ur)
 			nix.repairRun(u, degChanged, w)
 		})
 	if err != nil {

@@ -1,7 +1,7 @@
 // Package ctxloop keeps cancellation responsive: any loop in a
 // context-accepting function must hit a cancellation checkpoint. PR 2
 // threaded context.Context through the hot path with the P1–P7 phase
-// checkpoints (core) and S1–S5 superstep checks (distscan); a new loop added
+// checkpoints (core) and the shard rounds' ctx polls; a new loop added
 // to one of those functions without a ctx.Err()/Done()/Canceled() poll — or
 // a call that forwards the context onward — silently reopens the unbounded-
 // latency window the checkpoints closed.

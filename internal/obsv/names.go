@@ -178,11 +178,6 @@ const (
 	MetricServerExemplars        = "server.exemplars.retained"
 	MetricServerExemplarCaptures = "server.exemplars.captured"
 
-	// Distributed-engine superstep histograms: MetricDistSuperstepPrefix +
-	// a superstep key ("s1_adjacency_exchange", ...) distributes wall time
-	// per BSP superstep, retries included.
-	MetricDistSuperstepPrefix = "distscan.superstep_ns."
-
 	// Request-coalescing metrics (server-local; see Server.WithCoalescing).
 	//
 	// MetricServerCoalesceFlights counts shared similarity passes started —
@@ -251,7 +246,10 @@ const (
 	// shard.* family into the registry it is constructed with (scanserver
 	// passes the process-global registry so /metrics surfaces the fleet);
 	// workers record the shard.worker.* family into their own registry,
-	// surfaced by the worker's /shard/healthz body.
+	// surfaced by the worker's /shard/healthz body. A dist-scan engine run
+	// is a coordinator over an in-memory fleet: it records the same shard.*
+	// counters into the engine's registry (but not the replica-state
+	// gauges, which describe the HTTP fleet).
 	//
 	// MetricShardRPCs counts shard RPC attempts issued by the coordinator
 	// (retries and failovers included); MetricShardRPCNs distributes their
@@ -285,10 +283,11 @@ const (
 	// had no replica left to serve a round (surfaced as 503 + Retry-After).
 	MetricShardQueries     = "shard.queries"
 	MetricShardUnavailable = "shard.unavailable"
-	// MetricShardCommBytes accumulates real wire bytes moved between the
-	// coordinator and the workers (request plus response bodies) — the
-	// multi-process measurement of the paper's §3.3 communication-overhead
-	// claim, replacing distscan's modeled byte counts.
+	// MetricShardCommBytes accumulates the bytes moved between shards: over
+	// HTTP the real wire bytes between the coordinator and the workers
+	// (request plus response bodies), in the dist-scan engine's in-memory
+	// fleet 12 per cross-partition mirror similarity — the measurement of
+	// the paper's §3.3 communication-overhead claim.
 	MetricShardCommBytes = "shard.comm_bytes"
 	// MetricShardRoundNsPrefix + round name ("sim", "roles", "cluster",
 	// "members") distributes per-round wall time across the fleet barrier,

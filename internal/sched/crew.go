@@ -3,6 +3,7 @@ package sched
 import (
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -80,7 +81,11 @@ type crewTask struct {
 }
 
 // NewCrew starts workers goroutines (< 1 means GOMAXPROCS) that serve
-// ForEachVertex calls until Close.
+// ForEachVertex calls until Close. It returns once every worker goroutine
+// has started, so the first phase's early sends are handed to distinct
+// waiting workers. Without the wait, a phase submitted right away can
+// run entirely on the one worker the runtime schedules first, trading
+// turns with the coordinator while the other workers never run.
 //
 //lint:allowalloc crew construction; built once per workspace, its workers persist across phases and runs
 func NewCrew(workers int) *Crew {
@@ -92,9 +97,13 @@ func NewCrew(workers int) *Crew {
 		tasks:   make(chan crewTask, 4*workers),
 		done:    make(chan struct{}, 1),
 	}
+	var live sync.WaitGroup
+	live.Add(workers)
 	for w := 0; w < workers; w++ {
-		go c.work(w)
+		go c.work(w, &live)
 	}
+	//lint:chanwait each worker calls Done as its first statement, before any task can block it
+	live.Wait()
 	return c
 }
 
@@ -260,7 +269,8 @@ func (c *Crew) taskDone() {
 	}
 }
 
-func (c *Crew) work(worker int) {
+func (c *Crew) work(worker int, live *sync.WaitGroup) {
+	live.Done()
 	// recover() lives in runTask's deferred recoverTask — one recovery
 	// scope per task, so a panic never kills the worker goroutine.
 	//lint:panicsafe per-task recovery in runTask via recoverTask; the loop itself cannot panic

@@ -10,12 +10,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"ppscan/graph"
-	"ppscan/internal/distscan"
 	"ppscan/internal/fault"
 	"ppscan/internal/obsv"
 	"ppscan/internal/result"
@@ -102,8 +102,11 @@ type Options struct {
 }
 
 // replica is one worker endpoint and its coordinator-side health record.
+// Its transport is HTTP/gob to addr, or — when local is set — a direct
+// call into an in-process Worker (see stepLocal).
 type replica struct {
-	addr string
+	addr  string
+	local *Worker
 
 	mu       sync.Mutex
 	state    HealthState
@@ -178,11 +181,21 @@ func NewCoordinator(g *graph.Graph, opt Options) (*Coordinator, error) {
 	if len(opt.Shards) == 0 {
 		return nil, fmt.Errorf("shard: coordinator needs at least one shard")
 	}
+	fleet := make([][]*replica, len(opt.Shards))
 	for i, reps := range opt.Shards {
 		if len(reps) == 0 {
 			return nil, fmt.Errorf("shard: shard %d has no replicas", i)
 		}
+		for _, addr := range reps {
+			fleet[i] = append(fleet[i], &replica{addr: addr})
+		}
 	}
+	opt.setDefaults()
+	return newCoordinator(g, opt, fleet), nil
+}
+
+// setDefaults fills every unset timing, budget and threshold.
+func (opt *Options) setDefaults() {
 	if opt.StepTimeout <= 0 {
 		opt.StepTimeout = DefaultStepTimeout
 	}
@@ -210,13 +223,25 @@ func NewCoordinator(g *graph.Graph, opt Options) (*Coordinator, error) {
 	if opt.Registry == nil {
 		opt.Registry = obsv.Default()
 	}
+}
+
+// newCoordinator wires a coordinator over an already-built fleet. The
+// fleet-health gauges describe the HTTP fleet only: an in-memory fleet
+// writes them to a no-op registry, so a dist-scan run never overwrites
+// the serving tier's gauges in the same process.
+func newCoordinator(g *graph.Graph, opt Options, fleet [][]*replica) *Coordinator {
 	client := opt.Client
 	if client == nil {
 		client = &http.Client{Transport: &http.Transport{}}
 	}
+	gauges := opt.Registry
+	if fleet[0][0].local != nil {
+		gauges = obsv.NewNop()
+	}
 	c := &Coordinator{
 		opt:    opt,
 		client: client,
+		fleet:  fleet,
 		stopCh: make(chan struct{}),
 		doneCh: make(chan struct{}),
 
@@ -233,19 +258,13 @@ func NewCoordinator(g *graph.Graph, opt Options) (*Coordinator, error) {
 		queries:     opt.Registry.Counter(obsv.MetricShardQueries),
 		unavailable: opt.Registry.Counter(obsv.MetricShardUnavailable),
 		commBytes:   opt.Registry.Counter(obsv.MetricShardCommBytes),
-		gHealthy:    opt.Registry.Gauge(obsv.MetricShardHealthy),
-		gSuspect:    opt.Registry.Gauge(obsv.MetricShardSuspect),
-		gDead:       opt.Registry.Gauge(obsv.MetricShardDead),
+		gHealthy:    gauges.Gauge(obsv.MetricShardHealthy),
+		gSuspect:    gauges.Gauge(obsv.MetricShardSuspect),
+		gDead:       gauges.Gauge(obsv.MetricShardDead),
 		roundNs:     make(map[string]*obsv.Counter, len(Rounds)),
 	}
 	for _, r := range Rounds {
 		c.roundNs[r] = opt.Registry.Counter(obsv.MetricShardRoundNsPrefix + r)
-	}
-	c.fleet = make([][]*replica, len(opt.Shards))
-	for i, reps := range opt.Shards {
-		for _, addr := range reps {
-			c.fleet[i] = append(c.fleet[i], &replica{addr: addr})
-		}
 	}
 	c.Publish(g)
 	c.updateGauges()
@@ -254,7 +273,7 @@ func NewCoordinator(g *graph.Graph, opt Options) (*Coordinator, error) {
 	} else {
 		close(c.doneCh)
 	}
-	return c, nil
+	return c
 }
 
 // Publish installs a new graph snapshot as the coordinator's current
@@ -265,7 +284,7 @@ func (c *Coordinator) Publish(g *graph.Graph) {
 	c.snap.Store(&coordSnap{
 		g:      g,
 		epoch:  g.Epoch(),
-		bounds: distscan.Partition(g, len(c.fleet)),
+		bounds: Partition(g, len(c.fleet)),
 	})
 }
 
@@ -559,12 +578,17 @@ func (c *Coordinator) Shutdown(ctx context.Context) {
 // callStep runs one round RPC against one shard with the full containment
 // ladder: fault injection, per-RPC deadline, failure classification,
 // capped exponential backoff, replica failover in health-preference
-// order, and epoch-mismatch sync. Exhaustion returns a
-// ShardUnavailableError wrapping the last leaf failure.
+// order, and epoch-mismatch sync. Every failed attempt is retried until
+// MaxAttempts; exhaustion returns a ShardUnavailableError wrapping the
+// last leaf failure.
 func (c *Coordinator) callStep(ctx context.Context, sn *coordSnap, shard int, req *StepRequest, qBytes *atomic.Int64) (*StepResponse, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(req); err != nil {
-		return nil, fmt.Errorf("shard: encoding %s round: %w", req.Round, err)
+	var body []byte // the gob request, for HTTP replicas only
+	if c.fleet[shard][0].local == nil {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(req); err != nil {
+			return nil, fmt.Errorf("shard: encoding %s round: %w", req.Round, err)
+		}
+		body = buf.Bytes()
 	}
 	backoff := c.opt.RetryBackoff
 	var last error
@@ -585,8 +609,8 @@ func (c *Coordinator) callStep(ctx context.Context, sn *coordSnap, shard int, re
 				if ri > 0 {
 					c.failovers.Inc()
 				}
-				// Backoff honors cancellation, like distscan's superstep
-				// retry loop.
+				// The backoff sleep honors cancellation: a client that
+				// goes away mid-backoff aborts the query immediately.
 				timer := time.NewTimer(backoff)
 				select {
 				case <-ctx.Done():
@@ -599,7 +623,13 @@ func (c *Coordinator) callStep(ctx context.Context, sn *coordSnap, shard int, re
 					backoff = c.opt.MaxRetryBackoff
 				}
 			}
-			resp, err := c.attempt(ctx, shard, r, req.Round, body.Bytes(), qBytes)
+			// One hit per round attempt: error actions model a lost round
+			// and are retried like any other failure.
+			if err := fault.Inject(fault.SuperstepStart); err != nil {
+				last = err
+				continue
+			}
+			resp, err := c.attempt(ctx, shard, r, req, body, qBytes)
 			if err == nil {
 				c.markSuccess(shard, r)
 				return resp, nil
@@ -621,15 +651,76 @@ func (c *Coordinator) callStep(ctx context.Context, sn *coordSnap, shard int, re
 	return nil, &ShardUnavailableError{Shard: shard, Round: req.Round, Attempts: attempts, Err: last}
 }
 
-// attempt performs exactly one RPC and classifies its failure.
-func (c *Coordinator) attempt(ctx context.Context, shard int, r *replica, round string, body []byte, qBytes *atomic.Int64) (*StepResponse, error) {
+// attempt performs exactly one round call against one replica, over the
+// replica's transport, and classifies its failure.
+func (c *Coordinator) attempt(ctx context.Context, shard int, r *replica, req *StepRequest, body []byte, qBytes *atomic.Int64) (*StepResponse, error) {
 	if err := fault.Inject(fault.ShardRPC); err != nil {
 		c.crashes.Inc()
-		return nil, &ShardCrashError{Shard: shard, Addr: r.addr, Round: round, Err: err}
+		return nil, &ShardCrashError{Shard: shard, Addr: r.addr, Round: req.Round, Err: err}
 	}
 	c.rpcs.Inc()
 	start := time.Now()
 	defer func() { c.rpcNs.Add(int64(time.Since(start))) }()
+	if r.local != nil {
+		return c.stepLocal(ctx, shard, r, req, qBytes)
+	}
+	return c.stepHTTP(ctx, shard, r, req.Round, body, qBytes)
+}
+
+// stepLocal hands one round to an in-process Worker: no gob, no listener.
+// The call runs on its own goroutine so that a StepTimeout deadline can
+// abandon a worker that stopped making progress, and a panic anywhere in
+// the round comes back as a *result.WorkerPanicError. The bytes counted
+// are the ones that cross a partition: 12 per mirror similarity (SimMsg)
+// the sim round emits for another shard.
+func (c *Coordinator) stepLocal(ctx context.Context, shard int, r *replica, req *StepRequest, qBytes *atomic.Int64) (*StepResponse, error) {
+	actx := ctx
+	if c.opt.StepTimeout > 0 {
+		var cancel context.CancelFunc
+		actx, cancel = context.WithTimeout(ctx, c.opt.StepTimeout)
+		defer cancel()
+	}
+	type reply struct {
+		resp *StepResponse
+		err  error
+	}
+	done := make(chan reply, 1)
+	go func() {
+		defer func() {
+			if v := recover(); v != nil {
+				done <- reply{err: &result.WorkerPanicError{
+					Phase: "shard " + req.Round, Worker: shard, Value: v, Stack: debug.Stack(),
+				}}
+			}
+		}()
+		resp, err := r.local.runStep(actx, req)
+		done <- reply{resp, err}
+	}()
+	select {
+	case rep := <-done:
+		if rep.err == nil {
+			if n := int64(len(rep.resp.Outbox)) * 12; n > 0 {
+				c.commBytes.Add(n)
+				qBytes.Add(n)
+			}
+			return rep.resp, nil
+		}
+		if actx.Err() == nil {
+			return nil, rep.err
+		}
+	case <-actx.Done():
+	}
+	if ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	c.timeouts.Inc()
+	return nil, &ShardTimeoutError{Shard: shard, Addr: r.addr, Round: req.Round, Timeout: c.opt.StepTimeout}
+}
+
+// stepHTTP performs one round RPC: POST the gob body to the worker under
+// the per-RPC deadline, decode the gob reply, and count the wire bytes
+// both ways.
+func (c *Coordinator) stepHTTP(ctx context.Context, shard int, r *replica, round string, body []byte, qBytes *atomic.Int64) (*StepResponse, error) {
 	actx, cancel := context.WithTimeout(ctx, c.opt.StepTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, http.MethodPost, r.addr+PathStep, bytes.NewReader(body))
@@ -692,8 +783,8 @@ func (c *Coordinator) attempt(ctx context.Context, shard int, r *replica, round 
 	return &sr, nil
 }
 
-// countingReader counts wire bytes actually read (Stats.CommBytes is
-// measured on the shard tier, unlike distscan's modeled byte counts).
+// countingReader counts wire bytes actually read (Stats.CommBytes over
+// HTTP is the measured wire traffic).
 type countingReader struct {
 	r io.Reader
 	n int64
@@ -707,15 +798,22 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 
 // Run executes one clustering query across the fleet: four fan-out
 // rounds (sim → roles → cluster → members) with a central union-find
-// reduce, producing a Result bit-identical to engine and distscan output
-// for the same snapshot and parameters. Any shard that cannot serve a
-// round after retries and failover fails the query with a typed
+// reduce, producing a Result bit-identical to every engine's output for
+// the same snapshot and parameters. Any shard that cannot serve a round
+// after retries and failover fails the query with a typed
 // ShardUnavailableError — never a hang, never a partial result.
 func (c *Coordinator) Run(ctx context.Context, eps string, mu int32) (*result.Result, error) {
 	th, err := simdef.NewThreshold(eps, mu)
 	if err != nil {
 		return nil, err
 	}
+	res, _, err := c.run(ctx, th)
+	return res, err
+}
+
+// run is Run on a parsed threshold; a failed query also names the round
+// it failed in.
+func (c *Coordinator) run(ctx context.Context, th simdef.Threshold) (*result.Result, string, error) {
 	c.queries.Inc()
 	sn := c.snap.Load()
 	g, bounds := sn.g, sn.bounds
@@ -742,7 +840,9 @@ func (c *Coordinator) Run(ctx context.Context, eps string, mu int32) (*result.Re
 				defer wg.Done()
 				defer func() {
 					if v := recover(); v != nil {
-						errs[s] = fmt.Errorf("shard: %s fan-out panic for shard %d: %v", round, s, v)
+						errs[s] = &result.WorkerPanicError{
+							Phase: "shard " + round, Worker: s, Value: v, Stack: debug.Stack(),
+						}
 					}
 				}()
 				resps[s], errs[s] = c.callStep(ctx, sn, s, mk(s), &qBytes)
@@ -779,7 +879,7 @@ func (c *Coordinator) Run(ctx context.Context, eps string, mu int32) (*result.Re
 		return &r
 	})
 	if err != nil {
-		return nil, err
+		return nil, RoundSim, err
 	}
 	inboxes := make([][]SimMsg, p)
 	//lint:ctxok bounded regroup of round-1 outboxes between superstep barriers
@@ -799,7 +899,7 @@ func (c *Coordinator) Run(ctx context.Context, eps string, mu int32) (*result.Re
 		return &r
 	})
 	if err != nil {
-		return nil, err
+		return nil, RoundRoles, err
 	}
 	roles := make([]result.Role, n)
 	//lint:ctxok bounded p-iteration fold between superstep barriers
@@ -808,7 +908,7 @@ func (c *Coordinator) Run(ctx context.Context, eps string, mu int32) (*result.Re
 	}
 
 	// Round 3: similar core-core edges, reduced through a central
-	// union-find with min-core-id labeling (same as distscan S5).
+	// union-find with min-core-id labeling.
 	clusterResps, err := fanOut(RoundCluster, func(s int) *StepRequest {
 		r := base
 		r.Round = RoundCluster
@@ -817,13 +917,13 @@ func (c *Coordinator) Run(ctx context.Context, eps string, mu int32) (*result.Re
 		return &r
 	})
 	if err != nil {
-		return nil, err
+		return nil, RoundCluster, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, RoundCluster, err
 	}
 	uf := unionfind.NewSequential(n)
-	//lint:ctxok bounded central union-find fold between superstep barriers (same as distscan S5)
+	//lint:ctxok bounded central union-find fold between superstep barriers
 	for _, resp := range clusterResps {
 		//lint:ctxok bounded by the round's core-core edge count
 		for _, e := range resp.UnionEdges {
@@ -863,7 +963,7 @@ func (c *Coordinator) Run(ctx context.Context, eps string, mu int32) (*result.Re
 		return &r
 	})
 	if err != nil {
-		return nil, err
+		return nil, RoundMembers, err
 	}
 
 	res := &result.Result{
@@ -884,5 +984,5 @@ func (c *Coordinator) Run(ctx context.Context, eps string, mu int32) (*result.Re
 		Total:        time.Since(start),
 		CommBytes:    qBytes.Load(),
 	}
-	return res, nil
+	return res, "", nil
 }

@@ -1,7 +1,17 @@
-// Package shard lifts internal/distscan's bulk-synchronous supersteps
-// across process boundaries: a coordinator drives S1–S5-shaped rounds over
-// a fleet of worker processes (cmd/scanshard), each owning one contiguous
-// vertex range of the CSR, speaking gob over stdlib HTTP.
+// Package shard runs SCAN as bulk-synchronous rounds over contiguous
+// vertex-range partitions of the CSR: a coordinator drives four rounds
+// (sim → roles → cluster → members) across one worker per partition and
+// reduces the similar core-core edges through a central union-find. This is
+// the SparkSCAN / PSCAN family (Zhou & Wang 2015; Zhao et al. 2013) that the
+// ppSCAN paper's related work dismisses for "incurring communication
+// overheads" (§3.3); the round core is written once and runs over two
+// transports:
+//
+//   - HTTP/gob to a fleet of worker processes (cmd/scanshard), the serving
+//     tier behind the server's WithShards;
+//   - direct calls into in-process Workers on the run's own snapshot, the
+//     "dist-scan" engine (engine.go), which reports the bytes that cross a
+//     partition as Stats.CommBytes.
 //
 // The headline property is shard-level fault containment. Every round
 // request is self-contained — it carries the query parameters, the target
@@ -23,6 +33,7 @@
 package shard
 
 import (
+	"ppscan/graph"
 	"ppscan/internal/result"
 	"ppscan/internal/simdef"
 )
@@ -45,12 +56,11 @@ const (
 	PathDrain = "/shard/drain"
 )
 
-// Round names, in execution order. Each maps onto the distscan superstep
-// it distributes: RoundSim covers S1+S2 (the adjacency exchange is implied
-// by each worker's local snapshot; mirror values cross shards as SimMsg
-// outboxes), RoundRoles covers S3+S4 (the reply ships the boundary roles),
-// RoundCluster and RoundMembers split S5 around the coordinator's global
-// union-find reduce.
+// Round names, in execution order. RoundSim computes every owned edge's
+// similarity against the worker's own snapshot (no adjacency exchange;
+// mirror values cross shards as SimMsg outboxes), RoundRoles derives the
+// owned roles, and RoundCluster and RoundMembers sit either side of the
+// coordinator's global union-find reduce.
 const (
 	RoundSim     = "sim"
 	RoundRoles   = "roles"
@@ -157,3 +167,27 @@ const (
 	rejectInternalErr  = "internal_error"
 	rejectInjectedHalt = "injected_halt"
 )
+
+// Partition returns p+1 boundaries splitting [0, n) into contiguous ranges
+// with roughly equal degree sums. Coordinator and workers derive it from
+// the same (graph, p), so they always agree on range ownership.
+func Partition(g *graph.Graph, p int) []int32 {
+	n := g.NumVertices()
+	bounds := make([]int32, p+1)
+	total := g.NumDirectedEdges() + int64(n) // +1 per vertex so empty graphs split too
+	target := total / int64(p)
+	w := 1
+	var acc int64
+	for u := int32(0); u < n && w < p; u++ {
+		acc += int64(g.Degree(u)) + 1
+		if acc >= target*int64(w) {
+			bounds[w] = u + 1
+			w++
+		}
+	}
+	for ; w < p; w++ {
+		bounds[w] = n
+	}
+	bounds[p] = n
+	return bounds
+}

@@ -1,18 +1,21 @@
 package shard
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"ppscan/graph"
-	"ppscan/internal/distscan"
 	"ppscan/internal/fault"
 	"ppscan/internal/intersect"
 	"ppscan/internal/obsv"
@@ -36,7 +39,7 @@ type WorkerOptions struct {
 	// Shard is this worker's partition id in [0, Shards).
 	Shard int
 	// Shards is the fleet's partition count; the vertex-range bounds are
-	// distscan.Partition(g, Shards), identical on coordinator and workers.
+	// Partition(g, Shards), identical on coordinator and workers.
 	Shards int
 	// Workers bounds intra-process parallelism for the similarity pass;
 	// < 1 defaults to GOMAXPROCS.
@@ -152,7 +155,7 @@ func NewWorker(g *graph.Graph, opt WorkerOptions) (*Worker, error) {
 // other epochs (they can never be requested again — the coordinator only
 // asks for its current epoch).
 func (w *Worker) install(g *graph.Graph, epoch uint64) {
-	bounds := distscan.Partition(g, w.opt.Shards)
+	bounds := Partition(g, w.opt.Shards)
 	w.snap.Store(&snapState{
 		g: g, epoch: epoch, bounds: bounds,
 		lo: bounds[w.opt.Shard], hi: bounds[w.opt.Shard+1],
@@ -248,11 +251,14 @@ func reject(rw http.ResponseWriter, status int, kind string, err error, epoch ui
 	_ = json.NewEncoder(rw).Encode(rejection{Error: err.Error(), Kind: kind, Epoch: epoch})
 }
 
-// handleStep serves one superstep round. The deferred recover is the
-// worker-side containment barrier: a panic anywhere in the round (an
-// injected ShardCrash panic-action, a bug in the compute path) answers
-// 500 with a structured body — or, when the panic severed the connection
-// already, the coordinator classifies the transport error as a crash.
+// handleStep serves one superstep round over HTTP: gob decode, runStep,
+// then status mapping. The deferred recover is the worker-side
+// containment barrier: a panic anywhere in the round (an injected
+// ShardCrash panic-action, a bug in the compute path) answers 500 with a
+// structured body — or, when the panic severed the connection already,
+// the coordinator classifies the transport error as a crash. The request
+// context reaches the similarity pass, so a coordinator that gives up on
+// the RPC (deadline, cancelled query) stops the worker's compute too.
 func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 	wrote := false
 	defer func() {
@@ -276,49 +282,74 @@ func (w *Worker) handleStep(rw http.ResponseWriter, r *http.Request) {
 		reject(rw, http.StatusBadRequest, rejectBadRequest, fmt.Errorf("decoding step: %w", err), 0)
 		return
 	}
-	if w.draining.Load() {
-		reject(rw, http.StatusServiceUnavailable, rejectDraining,
-			fmt.Errorf("worker draining, not accepting rounds"), 0)
-		return
-	}
-	sn := w.snap.Load()
-	if req.Epoch != sn.epoch {
-		reject(rw, http.StatusConflict, rejectEpoch,
-			fmt.Errorf("round targets epoch %d, worker holds %d", req.Epoch, sn.epoch), sn.epoch)
-		return
-	}
-	// Injection points: a straggler superstep (ShardDelay sleeps here) and
-	// abrupt worker death (ShardCrash error-action runs the crash hook;
-	// its panic-action panics in Inject and unwinds into the recover
-	// above, severing the connection).
-	if err := fault.Inject(fault.ShardDelay); err != nil {
-		reject(rw, http.StatusInternalServerError, rejectInjectedHalt, err, 0)
-		return
-	}
-	if err := fault.Inject(fault.ShardCrash); err != nil {
-		w.opt.CrashHook()
-		reject(rw, http.StatusInternalServerError, rejectInjectedHalt, err, 0)
-		return
-	}
-	resp, err := w.step(sn, &req)
+	resp, err := w.runStep(r.Context(), &req)
 	if err != nil {
-		reject(rw, http.StatusBadRequest, rejectBadRequest, err, 0)
+		var rej *ShardRejectedError
+		if !errors.As(err, &rej) {
+			// A contained compute panic or an abandoned round.
+			reject(rw, http.StatusInternalServerError, rejectInternalErr, err, 0)
+			return
+		}
+		var epoch uint64
+		if rej.Kind == rejectEpoch {
+			epoch = w.Epoch()
+		}
+		reject(rw, rej.Status, rej.Kind, errors.New(rej.Msg), epoch)
 		return
 	}
-	w.stepsN.Add(1)
-	w.steps.Inc()
 	rw.Header().Set("Content-Type", "application/octet-stream")
 	wrote = true
 	_ = gob.NewEncoder(rw).Encode(resp)
 }
 
+// runStep executes one round for either transport: the drain and epoch
+// checks, the worker-side fault points, then step. Refusals come back as
+// a *ShardRejectedError carrying the HTTP status they answer with; a
+// compute panic as a *result.WorkerPanicError; an abandoned round as the
+// context's error.
+func (w *Worker) runStep(ctx context.Context, req *StepRequest) (*StepResponse, error) {
+	refuse := func(status int, kind string, msg string) error {
+		return &ShardRejectedError{Shard: w.opt.Shard, Round: req.Round, Status: status, Kind: kind, Msg: msg}
+	}
+	if w.draining.Load() {
+		return nil, refuse(http.StatusServiceUnavailable, rejectDraining, "worker draining, not accepting rounds")
+	}
+	sn := w.snap.Load()
+	if req.Epoch != sn.epoch {
+		return nil, refuse(http.StatusConflict, rejectEpoch,
+			fmt.Sprintf("round targets epoch %d, worker holds %d", req.Epoch, sn.epoch))
+	}
+	// Injection points: a straggler superstep (ShardDelay sleeps here) and
+	// abrupt worker death (ShardCrash error-action runs the crash hook;
+	// its panic-action panics in Inject and unwinds into the caller's
+	// recover, which severs the connection).
+	if err := fault.Inject(fault.ShardDelay); err != nil {
+		return nil, refuse(http.StatusInternalServerError, rejectInjectedHalt, err.Error())
+	}
+	if err := fault.Inject(fault.ShardCrash); err != nil {
+		w.opt.CrashHook()
+		return nil, refuse(http.StatusInternalServerError, rejectInjectedHalt, err.Error())
+	}
+	resp, err := w.step(ctx, sn, req)
+	if err != nil {
+		var wpe *result.WorkerPanicError
+		if errors.As(err, &wpe) || ctx.Err() != nil {
+			return nil, err
+		}
+		return nil, refuse(http.StatusBadRequest, rejectBadRequest, err.Error())
+	}
+	w.stepsN.Add(1)
+	w.steps.Inc()
+	return resp, nil
+}
+
 // step executes one self-contained round against the generation sn.
-func (w *Worker) step(sn *snapState, req *StepRequest) (*StepResponse, error) {
+func (w *Worker) step(ctx context.Context, sn *snapState, req *StepRequest) (*StepResponse, error) {
 	th, err := simdef.NewThreshold(req.Eps, req.Mu)
 	if err != nil {
 		return nil, fmt.Errorf("bad parameters: %w", err)
 	}
-	st, err := w.ensure(sn, req, th)
+	st, err := w.ensure(ctx, sn, req, th)
 	if err != nil {
 		return nil, err
 	}
@@ -360,7 +391,7 @@ func (w *Worker) step(sn *snapState, req *StepRequest) (*StepResponse, error) {
 // computing the shard-local pass if the cache misses — which is exactly
 // how a restarted worker catches up mid-query: the pass is deterministic,
 // so recomputing it yields bit-identical state.
-func (w *Worker) ensure(sn *snapState, req *StepRequest, th simdef.Threshold) (*queryState, error) {
+func (w *Worker) ensure(ctx context.Context, sn *snapState, req *StepRequest, th simdef.Threshold) (*queryState, error) {
 	key := stateKey{epoch: req.Epoch, eps: th.Eps.String(), mu: req.Mu}
 	w.mu.Lock()
 	st, ok := w.states[key]
@@ -368,7 +399,7 @@ func (w *Worker) ensure(sn *snapState, req *StepRequest, th simdef.Threshold) (*
 		st = &queryState{}
 		w.states[key] = st
 		w.order = append(w.order, key)
-		for len(w.order) > w.opt.StateCache {
+		if len(w.order) > w.opt.StateCache { // entries arrive one at a time
 			delete(w.states, w.order[0])
 			w.order = w.order[1:]
 		}
@@ -381,7 +412,7 @@ func (w *Worker) ensure(sn *snapState, req *StepRequest, th simdef.Threshold) (*
 		return st, nil
 	}
 	w.misses.Inc()
-	if err := w.computeLocal(sn, st, th); err != nil {
+	if err := w.computeLocal(ctx, sn, st, th); err != nil {
 		return nil, err
 	}
 	st.ready = true
@@ -391,22 +422,17 @@ func (w *Worker) ensure(sn *snapState, req *StepRequest, th simdef.Threshold) (*
 // computeLocal runs the shard-local similarity pass: every undirected edge
 // whose smaller endpoint u is owned gets its value computed once; the
 // mirror slot is written locally when the larger endpoint is owned too,
-// and emitted as an outbox message otherwise. Parallel over vertex blocks.
-func (w *Worker) computeLocal(sn *snapState, st *queryState, th simdef.Threshold) error {
+// and emitted as an outbox message otherwise. Parallel over vertex blocks,
+// each one fault.WorkerTask hit under its own panic containment. A
+// cancelled or panicked pass returns an error, which leaves the state
+// not-ready for the next request to recompute.
+func (w *Worker) computeLocal(ctx context.Context, sn *snapState, st *queryState, th simdef.Threshold) error {
 	g := sn.g
 	st.simBase = g.Off[sn.lo]
 	st.sim = make([]simdef.EdgeSim, g.Off[sn.hi]-st.simBase)
-	st.outbox = st.outbox[:0]
 
-	nw := w.opt.Workers
 	span := sn.hi - sn.lo
-	if int32(nw) > span {
-		nw = int(span)
-	}
-	if nw <= 1 {
-		st.outbox = simBlock(sn, st, th, sn.lo, sn.hi, w.opt.Kernel, st.outbox)
-		return nil
-	}
+	nw := max(1, min(w.opt.Workers, int(span)))
 	// Static block split; each goroutine owns a disjoint vertex range, so
 	// all sim writes are disjoint and each builds a private outbox.
 	outs := make([][]SimMsg, nw)
@@ -416,20 +442,26 @@ func (w *Worker) computeLocal(sn *snapState, st *queryState, th simdef.Threshold
 		a := sn.lo + int32(i)*span/int32(nw)
 		b := sn.lo + int32(i+1)*span/int32(nw)
 		wg.Add(1)
-		go func(i int, a, b int32) {
+		go func(ctx context.Context, i int, a, b int32) {
 			defer wg.Done()
 			defer recoverSim(&panicErr, i)
-			outs[i] = simBlock(sn, st, th, a, b, w.opt.Kernel, nil)
-		}(i, a, b)
+			if err := fault.Inject(fault.WorkerTask); err != nil {
+				// Blocks have no error channel; an injected error-action
+				// fault surfaces as a contained panic.
+				panic(err)
+			}
+			outs[i] = simBlock(ctx, sn, st, th, a, b, w.opt.Kernel)
+		}(ctx, i, a, b)
 	}
 	//lint:chanwait bounded: the block goroutines run finite vertex loops under panic containment
 	wg.Wait()
 	if wpe := panicErr.Load(); wpe != nil {
 		return wpe
 	}
-	for _, o := range outs {
-		st.outbox = append(st.outbox, o...)
+	if err := ctx.Err(); err != nil {
+		return err
 	}
+	st.outbox = slices.Concat(outs...)
 	return nil
 }
 
@@ -437,29 +469,42 @@ func (w *Worker) computeLocal(sn *snapState, st *queryState, th simdef.Threshold
 func recoverSim(panicErr *atomic.Pointer[result.WorkerPanicError], worker int) {
 	if v := recover(); v != nil {
 		panicErr.CompareAndSwap(nil, &result.WorkerPanicError{
-			Phase: "shard " + RoundSim, Worker: worker, Value: v,
+			Phase: "shard " + RoundSim, Worker: worker, Value: v, Stack: debug.Stack(),
 		})
 	}
 }
 
-// simBlock computes similarities for owned tails in [a, b).
-func simBlock(sn *snapState, st *queryState, th simdef.Threshold, a, b int32, kernel intersect.Kind, out []SimMsg) []SimMsg {
-	g := sn.g
+// simBlock computes similarities for owned tails in [a, b), polling ctx
+// every 1024 vertices; a cancelled block returns early with a partial
+// outbox the caller discards.
+func simBlock(ctx context.Context, sn *snapState, st *queryState, th simdef.Threshold, a, b int32, kernel intersect.Kind) []SimMsg {
+	var out []SimMsg
 	for u := a; u < b; u++ {
-		uOff := g.Off[u]
-		nbrs := g.Neighbors(u)
-		for i, v := range nbrs {
-			if v <= u {
-				continue
-			}
-			c := th.Eps.MinCN(g.Degree(u), g.Degree(v))
-			val := intersect.CompSim(kernel, nbrs, g.Neighbors(v), c)
-			st.sim[uOff+int64(i)-st.simBase] = val
-			if v < sn.hi {
-				st.sim[g.EdgeOffset(v, u)-st.simBase] = val
-			} else {
-				out = append(out, SimMsg{V: v, U: u, Val: val})
-			}
+		if u&1023 == 0 && ctx.Err() != nil {
+			return out
+		}
+		out = simVertex(sn, st, th, u, kernel, out)
+	}
+	return out
+}
+
+// simVertex computes the similarities of u's edges to larger neighbours,
+// writing owned mirror slots locally and appending the rest to out.
+func simVertex(sn *snapState, st *queryState, th simdef.Threshold, u int32, kernel intersect.Kind, out []SimMsg) []SimMsg {
+	g := sn.g
+	uOff := g.Off[u]
+	nbrs := g.Neighbors(u)
+	for i, v := range nbrs {
+		if v <= u {
+			continue
+		}
+		c := th.Eps.MinCN(g.Degree(u), g.Degree(v))
+		val := intersect.CompSim(kernel, nbrs, g.Neighbors(v), c)
+		st.sim[uOff+int64(i)-st.simBase] = val
+		if v < sn.hi {
+			st.sim[g.EdgeOffset(v, u)-st.simBase] = val
+		} else {
+			out = append(out, SimMsg{V: v, U: u, Val: val})
 		}
 	}
 	return out

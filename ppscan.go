@@ -51,11 +51,11 @@ import (
 	// init; the facade resolves them by name through the registry.
 	_ "ppscan/internal/anyscan"
 	_ "ppscan/internal/core"
-	_ "ppscan/internal/distscan"
 	_ "ppscan/internal/pscan"
 	_ "ppscan/internal/scan"
 	_ "ppscan/internal/scanpp"
 	_ "ppscan/internal/scanxp"
+	_ "ppscan/internal/shard"
 )
 
 // Algorithm selects which clustering algorithm to run. All algorithms
@@ -141,8 +141,9 @@ type Options struct {
 	// (ablation knob).
 	StaticScheduling bool
 	// StallTimeout arms the phase watchdog in the algorithms that support
-	// it (ppscan, ppscan-no, dist-scan): a phase or superstep making no
-	// scheduler progress for this long is abandoned with a *PartialError
+	// it (ppscan, ppscan-no, dist-scan): a phase making no scheduler
+	// progress for this long, or a dist-scan round that misses this
+	// deadline on every attempt, is abandoned with a *PartialError
 	// wrapping ErrStalled. Zero — the default — disables the watchdog.
 	StallTimeout time.Duration
 	// Tracer, when non-nil, records the run as Chrome trace_event spans in
